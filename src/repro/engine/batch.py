@@ -15,8 +15,10 @@ per-tuple Python dispatch of the seed scan loop out of the hot path:
   pieces for operators that are not naturally page-bounded.
 
 SSI correctness: batching changes *when* checks run, never *whether*.
-The executor still classifies visibility per tuple and takes the same
-SIREAD locks; the only hoisted check is the read-coverage fast path
+The executor still classifies every tuple's visibility (a page at a
+time on covered sequential-scan pages, see
+``repro.mvcc.visibility.page_visibility``) and takes the same SIREAD
+locks; the only hoisted check is the read-coverage fast path
 (`SSIManager.read_page_covered`), which is already tuple-independent
 because it keys on (relation, page). See DESIGN.md, "Vectorized
 execution".

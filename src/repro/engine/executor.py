@@ -35,7 +35,8 @@ from repro.errors import (AbortCause, ReadOnlyTransactionError,
                           SerializationFailure, UndefinedColumnError,
                           UniqueViolationError)
 from repro.locks.modes import LockMode
-from repro.mvcc.visibility import ALL_VISIBLE, tuple_visibility
+from repro.mvcc.visibility import (ALL_VISIBLE, page_visibility,
+                                  tuple_visibility)
 from repro.mvcc.xid import INVALID_XID
 from repro.storage.relation import Relation
 from repro.storage.tuple import HeapTuple
@@ -200,7 +201,9 @@ class Executor:
         batch filter, stat increments are batched, and the SSI
         read-coverage fast path is checked once per page instead of
         once per tuple (see SSIManager.read_page_covered for why that
-        is equivalent).
+        is equivalent). On a covered sequential-scan page, visibility
+        is page-mode too (mvcc.visibility.page_visibility), and only
+        tuples with conflict evidence reach on_read_tuple.
 
         ``sink``, when given, receives each page's matched tuples (in
         scan order) instead of them being accumulated into the result
@@ -221,9 +224,6 @@ class Executor:
         vismap = rel.heap.vismap
         stats = db.stats
         ssi = db.ssi
-        #: Counter equivalence: the per-tuple path only counts fastpath
-        #: hits for transactions that reach the fast-path check at all.
-        counting = sx is not None and not sx.ro_safe
         match = compile_batch_filter(pred)
         index, rng = self._plan_index(rel, pred)
         if index is not None:
@@ -309,8 +309,35 @@ class Executor:
                     stats.tuples_read += len(live)
                     db.vismap_counter.inc()
                     continue
-                covered = ssi.read_page_covered(sx, rel.oid, page.page_no)
-                skipped = 0
+                if ssi.read_page_covered(sx, rel.oid, page.page_no):
+                    # Page mode: one visibility call for the page; only
+                    # results carrying conflict evidence reach SSI, in
+                    # slot order. Every other tuple is visible with a
+                    # covering SIREAD lock -- a fast-path hit.
+                    visible, flagged = page_visibility(
+                        live, snapshot, view, clog, use_hints, hint_counter)
+                    # Untracked (no sxact, or a safe snapshot, which can
+                    # begin at any yield): on_read_tuple is a no-op and
+                    # the per-tuple path counts no fast-path hits.
+                    tracked = sx is not None and not sx.ro_safe
+                    done = reached = 0
+                    try:
+                        if tracked:
+                            for slot, tup, vis in flagged:
+                                done = slot + 1
+                                reached += 1
+                                ssi.on_read_tuple(sx, rel.oid, tup, vis)
+                        done = len(live)
+                    finally:
+                        # If on_read_tuple aborts, the per-tuple path's
+                        # eager meter stops at the aborting slot, and
+                        # the simulated clock charges tuples_read: the
+                        # flush stops there too, and so do the hits.
+                        stats.tuples_read += done
+                        if tracked and done > reached:
+                            ssi.note_fastpath_hits(done - reached)
+                    collect(match(visible))
+                    continue
                 done = 0
                 page_hits: List[HeapTuple] = []
                 try:
@@ -318,14 +345,7 @@ class Executor:
                         done += 1
                         vis = tuple_visibility(tup, snapshot, view, clog,
                                                use_hints, hint_counter)
-                        if (covered and vis.visible
-                                and not vis.deleter_concurrent):
-                            # Same skip rule as on_read_tuple's fast
-                            # path, hoisted: coverage is page-keyed and
-                            # doom was checked by read_page_covered.
-                            skipped += 1
-                        else:
-                            ssi.on_read_tuple(sx, rel.oid, tup, vis)
+                        ssi.on_read_tuple(sx, rel.oid, tup, vis)
                         if vis.visible and pred.matches(tup.data):
                             page_hits.append(tup)
                 finally:
@@ -333,8 +353,6 @@ class Executor:
                     # this window's counters match the per-tuple path's
                     # eager increments (done == len(live) on success).
                     stats.tuples_read += done
-                    if skipped and counting:
-                        ssi.note_fastpath_hits(skipped)
                 collect(page_hits)
         return out
 

@@ -173,6 +173,61 @@ def _check_deleter(tup, snapshot: Snapshot, view: TxnView, clog: CommitLog,
     return VisibilityResult(True, deleter_concurrent=True, deleter_xid=xmax)
 
 
+def page_visibility(tuples, snapshot: Snapshot, view: TxnView,
+                    clog: CommitLog, use_hints: bool = False,
+                    hint_counter=None):
+    """Classify every live tuple of one heap page in one call.
+
+    Page-mode HeapTupleSatisfiesMVCC (PostgreSQL's ``heapgetpage``).
+    Returns ``(visible, flagged)``: the visible tuples in slot order,
+    and ``(slot, tuple, result)`` for every result that carries SSI
+    evidence -- each invisible tuple, and each visible tuple with a
+    concurrent deleter. A visible tuple not in ``flagged`` has no
+    conflict to report.
+
+    The dominant cases are decided inline, with no call and no
+    allocation: xmin hinted committed and inside the snapshot, and
+    either no deleter (or a lock-only one) -- visible -- or a deleter
+    hinted committed inside the snapshot -- dead to this snapshot,
+    flagged with the shared invisible result. Their hint hits go to
+    ``hint_counter`` once per page. Every other tuple goes through
+    :func:`tuple_visibility` unchanged, so answers and hint-bit side
+    effects are identical to calling it per tuple.
+    """
+    visible = []
+    flagged = []
+    keep = visible.append
+    flag = flagged.append
+    snap_xmax = snapshot.xmax
+    xip = snapshot.xip
+    hits = 0
+    for slot, tup in enumerate(tuples):
+        if use_hints and tup.xmin_committed:
+            xmin = tup.xmin
+            if xmin < snap_xmax and xmin not in xip:
+                xmax = tup.xmax
+                if xmax == INVALID_XID or tup.xmax_lock_only:
+                    hits += 1
+                    keep(tup)
+                    continue
+                if (tup.xmax_committed and xmax < snap_xmax
+                        and xmax not in xip):
+                    hits += 2
+                    flag((slot, tup, _INVISIBLE))
+                    continue
+        vis = tuple_visibility(tup, snapshot, view, clog, use_hints,
+                               hint_counter)
+        if vis.visible:
+            keep(tup)
+            if vis.deleter_concurrent:
+                flag((slot, tup, vis))
+        else:
+            flag((slot, tup, vis))
+    if hits and hint_counter is not None:
+        hint_counter.inc(hits)
+    return visible, flagged
+
+
 def page_all_visible(tuples, clog: CommitLog,
                      horizon_xmin: "int | None" = None) -> bool:
     """May a heap page's all-visible bit be set over ``tuples``?

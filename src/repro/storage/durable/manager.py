@@ -93,8 +93,10 @@ class DurabilityManager:
         #: last checkpoint (torn-page protection needs only the first).
         self.fpw_done: Set[PageKey] = set()
         #: Acknowledged commits: xid -> end-LSN its frame needs durable.
-        #: With synchronous_commit every entry is durable at ack time;
-        #: without, stop()/close() must drain these before exiting.
+        #: With synchronous_commit a commit is durable at ack time and
+        #: is entered only if it is not (the durable sanitizer reports
+        #: that); without, stop()/close() must drain these before
+        #: exiting.
         self.acked: Dict[int, int] = {}
         #: Installed by the threaded server: runs a flush with the
         #: engine latch released so backends batch under one fsync
@@ -361,9 +363,16 @@ class DurabilityManager:
                 del self.acked[xid]
 
     def _ack(self, txn, lsn: int) -> None:
-        self.acked[txn.xid] = self.wal.end_lsn
+        need = self.wal.end_lsn
         if self.cfg.synchronous_commit:
-            self._flush()
+            # The client is acknowledged when this returns, so the
+            # commit enters ``acked`` only now: during the flush the
+            # engine latch is released, and other backends' commit
+            # boundaries must not see it as acknowledged yet.
+            self._flush(need)
+            if self.wal.durable_lsn >= need:
+                return
+        self.acked[txn.xid] = need
 
     def drain(self) -> None:
         """Make every acknowledged commit durable (server stop(), clean

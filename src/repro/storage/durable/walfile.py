@@ -127,21 +127,27 @@ class WALFile:
     def flush(self, upto: Optional[int] = None) -> None:
         """Make WAL through ``upto`` (default: everything appended so
         far) durable. Group commit: at most one fsync in flight; late
-        arrivals ride on it or lead the next batch."""
+        arrivals ride on it or lead the next batch.
+
+        With group commit off, a call with an explicit ``upto`` (a
+        committer flushing its own record) never rides: it waits out
+        any fsync in flight, then issues its own even if another
+        backend's fsync already covered its target -- one fsync per
+        committer. ``upto=None`` still returns once the log is durable.
+        """
         with self._cv:
             target = self._end if upto is None else upto
+            solo = upto is not None and not self.group_commit
             rode_along = False
             while True:
-                if self._durable >= target:
+                if self._durable >= target and not solo:
                     if rode_along:
                         self.piggybacked += 1
                     return
-                if self._flushing and self.group_commit:
-                    rode_along = True
-                    self._cv.wait()
-                    continue
                 if self._flushing:
-                    # group commit off: serialize, then fsync ourselves
+                    # Group commit: ride on the in-flight fsync. Off:
+                    # serialize behind it.
+                    rode_along = self.group_commit
                     self._cv.wait()
                     continue
                 self._flushing = True

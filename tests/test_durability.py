@@ -4,12 +4,14 @@ Page frames, the physical WAL, the dirty-page table, checkpoints
 (including CLOG/serxid segment generations), clean-shutdown round
 trips, the torn-page corruption property (satellite: checksums turn
 arbitrary byte corruption into a structured DataCorruptionError), the
-durability-off purity guarantee, the WAL-before-data sanitizer, and
-the server stop() drain regression (an acked commit must never be
-lost by a graceful stop).
+durability-off purity guarantee, the WAL-before-data sanitizer, the
+server stop() drain regression (an acked commit must never be lost by
+a graceful stop), and the group-commit ablation (off means one fsync
+per commit).
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -587,3 +589,58 @@ class TestServerStopDrain:
         rec = open_database(str(tmp_path), cfg_for(tmp_path))
         assert rec.session().select("t") == [{"k": 7}]
         rec.close()
+
+
+# ---------------------------------------------------------------------------
+# group commit on/off: the ablation must really turn batching off
+# ---------------------------------------------------------------------------
+class TestGroupCommitAblation:
+    CLIENTS = 8
+    COMMITS_PER_CLIENT = 25
+
+    def _commit_fsyncs(self, tmp_path, group_commit: bool) -> int:
+        """WAL fsyncs issued while CLIENTS threads each run
+        COMMITS_PER_CLIENT single-row INSERT commits over the server."""
+        db = Database(cfg_for(tmp_path, group_commit=group_commit,
+                              modeled_flush_latency=0.002))
+        server = ReproServer(db, ServerConfig(
+            port=0, max_connections=self.CLIENTS + 2)).start()
+        errors = []
+        try:
+            with connect(server.address) as client:
+                client.sql("CREATE TABLE gc (k INT PRIMARY KEY, c INT)")
+            wal = db.durability.wal
+            before = wal.flushes
+            barrier = threading.Barrier(self.CLIENTS)
+
+            def worker(i):
+                try:
+                    with connect(server.address) as client:
+                        barrier.wait()
+                        for j in range(self.COMMITS_PER_CLIENT):
+                            client.sql(f"INSERT INTO gc (k, c) VALUES "
+                                       f"({i * 1000 + j}, {i})")
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+                    barrier.abort()
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(self.CLIENTS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            fsyncs = wal.flushes - before
+        finally:
+            server.stop()
+            db.close()
+        assert not errors, errors
+        return fsyncs
+
+    def test_off_issues_one_fsync_per_commit(self, tmp_path):
+        commits = self.CLIENTS * self.COMMITS_PER_CLIENT
+        assert self._commit_fsyncs(tmp_path, False) == commits
+
+    def test_on_batches_commits_under_fewer_fsyncs(self, tmp_path):
+        commits = self.CLIENTS * self.COMMITS_PER_CLIENT
+        assert self._commit_fsyncs(tmp_path, True) < commits

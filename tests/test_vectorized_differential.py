@@ -22,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import EngineConfig, PerfConfig
-from repro.engine import Database
+from repro.engine import Database, Eq
 from repro.engine.isolation import IsolationLevel
+from repro.errors import SerializationFailure
 from repro.explore import load_replay, run_replay
 from repro.sql.executor import SQLSession
 from repro.workloads import ReportingWorkload, SIBench, YCSB, run_workload
@@ -241,3 +242,43 @@ def test_scan_aggregate_matches_select_fold():
     expect = [len(rows), len(values), sum(values), min(values),
               max(values), sum(values) / len(values)]
     assert got == expect
+
+
+# ---------------------------------------------------------------------------
+# an SSI abort partway through a heap page
+# ---------------------------------------------------------------------------
+def _doomed_mid_page_scan(perf):
+    """T1 is a pivot T0 -> T1 -> T2 with T2 committed first. Its seq
+    scan discovers the T1 -> T2 edge at row 5's old version, in the
+    middle of the table's only heap page, and aborts there. Returns
+    (tuples read by the failing scan, SIREAD fast-path hits it
+    counted, live tuples on the page)."""
+    db = Database(EngineConfig(perf=perf))
+    db.create_table("t", ["k", "v"], key="k")
+    s = db.session()
+    for k in range(10):
+        s.insert("t", {"k": k, "v": 0})
+    s.select("t")  # sets the hint bits the page-mode fast case reads
+    t0, t1, t2 = db.session(), db.session(), db.session()
+    for sess in (t0, t1, t2):
+        sess.begin(SER)
+    t1.update("t", Eq("k", 1), {"v": 1})
+    t0.select("t", Eq("k", 1))            # T0 -> T1
+    t2.update("t", Eq("k", 5), {"v": 2})
+    t2.commit()
+    hits = db.obs.metrics.counter("perf.siread_fastpath_hits")
+    read_before, hits_before = db.stats.tuples_read, hits.value
+    with pytest.raises(SerializationFailure):
+        t1.select("t")                    # T1 -> T2: T1 is the pivot
+    (page,) = db.relations()["t"].heap.scan_pages()
+    return (db.stats.tuples_read - read_before, hits.value - hits_before,
+            len(page.live_tuples()))
+
+
+def test_abort_mid_page_charges_the_same_work():
+    off = _doomed_mid_page_scan(VEC_OFF)
+    on = _doomed_mid_page_scan(VEC_ON)
+    assert on == off
+    read, hits, live = on
+    assert 0 < read < live, "the abort must fall strictly inside the page"
+    assert hits > 0
